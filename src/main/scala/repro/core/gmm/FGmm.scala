@@ -1,101 +1,146 @@
 package repro.core.gmm
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Encoders}
+import repro.core.{DenseR, FkRow, Touched}
 import repro.linalg.{Mat, Vec}
 import scala.collection.parallel.CollectionConverters._
 
-/** Per-R-tuple reusable E-step blocks for one component set (paper Eq. 9–12):
-  * for every component k, `w(k) = I_SR · PDR` (a dS-vector — the tuple's
-  * contribution to the UR+LL cross terms) and `c(k) = PDRᵀ I_RR PDR` (the
-  * LR scalar). Computed **once per R tuple per iteration** and reused for
-  * every matching S tuple — the redundancy elimination at the heart of
-  * F-GMM.
+/** Partition-local state of the factorized S-side pass: the global S-block
+  * sums plus the **per-FK grouped** statistics (γ-sums and γ-weighted x_S
+  * sums), held in dense slots indexed by R's dense index `r`:
+  * `g(r·k + i)` and `sgx((r·k + i)·dS + j)`.
   */
-private[gmm] final case class RSidePre(w: Array[Array[Double]], c: Array[Double])
+private[gmm] final class FGmmAccum(k: Int, dS: Int, nR: Int) {
+  private var n: Long = 0L
+  private var loglik: Double = 0.0
+  private val nk = new Array[Double](k)
+  private val sxS = Array.fill(k)(new Array[Double](dS))
+  private val sxxSS = Array.fill(k)(Mat.zeros(dS, dS))
+  private val g = new Array[Double](nR * k)
+  private val sgx = new Array[Double](nR * k * dS)
+  private val touched = new Touched(nR)
 
-/** Partition-local sufficient statistics of the factorized S-side pass:
-  * the usual global S-block sums plus the **per-FK grouped** statistics
-  * (γ-sums and γ-weighted x_S sums) from which the R-side M-step blocks are
-  * finished without ever joining feature vectors.
-  *
-  * Per-FK layout per key: [g_0 … g_{k-1}, sgx_0 (dS) … sgx_{k-1} (dS)].
-  */
-private[gmm] final class FGmmAccum(val k: Int, val dS: Int) extends Serializable {
-  var n: Long = 0L
-  var loglik: Double = 0.0
-  val nk: Array[Double] = new Array[Double](k)
-  val sxS: Array[Array[Double]] = Array.fill(k)(new Array[Double](dS))
-  val sxxSS: Array[Mat] = Array.fill(k)(Mat.zeros(dS, dS))
-  val perFk: java.util.HashMap[Long, Array[Double]] = new java.util.HashMap()
-
-  @inline def fkSlot(fk: Long): Array[Double] = {
-    var a = perFk.get(fk)
-    if (a == null) { a = new Array[Double](k * (1 + dS)); perFk.put(fk, a) }
-    a
-  }
-
-  def add(fk: Long, xs: Array[Double], gamma: Array[Double], ll: Double): Unit = {
+  /** Fold in one S row that joins R tuple `r`. */
+  def add(r: Int, xs: Array[Double], gamma: Array[Double], ll: Double): Unit = {
     n += 1; loglik += ll
-    val slot = fkSlot(fk)
+    touched.add(r)
     var i = 0
     while (i < k) {
-      val g = gamma(i)
-      nk(i) += g
-      Vec.axpy(g, xs, sxS(i))
-      sxxSS(i).addOuter(g, xs, xs)
-      slot(i) += g
-      val off = k + i * dS
+      val gi = gamma(i)
+      nk(i) += gi
+      Vec.axpy(gi, xs, sxS(i))
+      sxxSS(i).addOuter(gi, xs, xs)
+      g(r * k + i) += gi
+      val off = (r * k + i) * dS
       var j = 0
-      while (j < dS) { slot(off + j) += g * xs(j); j += 1 }
+      while (j < dS) { sgx(off + j) += gi * xs(j); j += 1 }
       i += 1
     }
   }
 
-  def merge(o: FGmmAccum): FGmmAccum = {
-    require(o.k == k && o.dS == dS)
-    n += o.n; loglik += o.loglik
+  /** Finish this partition's R-side M-step blocks (paper §V-B), one kernel
+    * per R tuple the partition touched, from R's flat features `xr`:
+    * `Σ γ x_R = Σ_r g_r x_r`, `UR = Σ_r (Σ_{fk=r} γ x_S) x_rᵀ` and
+    * `LR = Σ_r g_r x_r x_rᵀ`. The result is the denormalized accumulator
+    * these rows would have produced at width d = dS + dR; the finish is
+    * linear in the per-FK sums, so summing finished partitions is exact.
+    */
+  private[gmm] def finish(xr: Array[Double], dR: Int): GmmAccum = {
+    val d = dS + dR
+    val out = new GmmAccum(k, d)
+    out.n = n; out.loglik = loglik
     var i = 0
     while (i < k) {
-      nk(i) += o.nk(i)
-      Vec.addInPlace(sxS(i), o.sxS(i))
-      sxxSS(i).addInPlace(o.sxxSS(i))
+      out.nk(i) = nk(i)
+      System.arraycopy(sxS(i), 0, out.sx(i), 0, dS)
+      out.sxx(i).setBlock(0, 0, sxxSS(i))
       i += 1
     }
-    val it = o.perFk.entrySet().iterator()
-    while (it.hasNext) {
-      val e = it.next()
-      Vec.addInPlace(fkSlot(e.getKey), e.getValue)
+    var t = 0
+    while (t < touched.size) {
+      val r = touched(t)
+      val xo = r * dR
+      i = 0
+      while (i < k) {
+        val gi = g(r * k + i)
+        val sx = out.sx(i)
+        val m = out.sxx(i).a
+        var p = 0
+        while (p < dR) { // μ_R numerator and the upper triangle of LR
+          val gx = gi * xr(xo + p)
+          sx(dS + p) += gx
+          val row = (dS + p) * d + dS
+          var q = p
+          while (q < dR) { m(row + q) += gx * xr(xo + q); q += 1 }
+          p += 1
+        }
+        val so = (r * k + i) * dS
+        var a = 0
+        while (a < dS) { // UR
+          val sa = sgx(so + a)
+          val row = a * d + dS
+          var q = 0
+          while (q < dR) { m(row + q) += sa * xr(xo + q); q += 1 }
+          a += 1
+        }
+        i += 1
+      }
+      t += 1
     }
-    this
+    i = 0
+    while (i < k) { // LL = URᵀ, and LR's lower triangle (Eq. 14 assembly)
+      val m = out.sxx(i).a
+      var p = dS
+      while (p < d) {
+        var q = 0
+        while (q < p) { m(p * d + q) = m(q * d + p); q += 1 }
+        p += 1
+      }
+      i += 1
+    }
+    out
   }
 }
 
 /** Algorithm F-GMM for binary joins (paper §V-B): EM with every per-tuple
   * matrix expression factorized into S-only and R-only blocks.
   *
-  * Each iteration:
-  *  1. driver precomputes, per R tuple and component, the reusable E-step
-  *     blocks [[RSidePre]] — `nR·K` small kernels instead of `nS·K`;
-  *  2. one aggregation pass over **S alone** (the custom DataFrame
-  *     aggregation — R features never flow through a join) produces the
-  *     global S-side sums and the per-FK grouped statistics;
-  *  3. the driver finishes the R-side M-step blocks from the grouped
-  *     statistics and the raw R features: one outer product per R tuple
-  *     instead of one per joined tuple.
+  * Once per fit, R is collected, its keys are mapped to a dense index and
+  * its features flattened ([[DenseR]]), and that is broadcast. Each
+  * iteration then:
+  *  1. precomputes on the driver, per R tuple and component, the reusable
+  *     E-step blocks `w = I_SR·PDR` (a dS-vector) and `c = PDRᵀ I_RR PDR`
+  *     (Eq. 9–12) — `nR·K` small kernels instead of `nS·K` — and
+  *     broadcasts them as two flat arrays;
+  *  2. makes one aggregation pass over **S alone** (R features never flow
+  *     through a join): each partition accumulates the global S-side sums
+  *     and the per-FK grouped statistics in dense slots, then finishes the
+  *     R-side blocks for the R tuples it touched and returns only
+  *     O(K·d²) sums;
+  *  3. merges those small accumulators on the driver and runs the M-step.
   *
-  * The decomposition is exact — models match M-GMM/S-GMM to fp roundoff.
+  * An S row whose `fk` matches no R tuple is skipped: the same inner-join
+  * semantics M-GMM and S-GMM get from their join. The decomposition is
+  * exact — models match M-GMM/S-GMM to fp roundoff.
   */
 object FGmm {
 
   /** One factorized EM iteration.
     *
     * @param s      entity table S(sid, fk, xs)
-    * @param rRows  collected attribute table R — (rid, xr), nR ≪ nS
+    * @param rRows  collected attribute table R — (rid, xr), nR ≪ nS; a repeated
+    *               rid raises an `IllegalArgumentException` naming it
     */
   def emStep(s: DataFrame, rRows: Array[(Long, Array[Double])], model: GmmModel,
-             dS: Int, dR: Int): (GmmModel, Double) = {
+             dS: Int, dR: Int): (GmmModel, Double) =
+    DenseR.withBroadcast(s.sparkSession, rRows, dR)(step(s, _, model, dS))
+
+  private def step(s: DataFrame, bcR: Broadcast[DenseR], model: GmmModel,
+                   dS: Int): (GmmModel, Double) = {
     val spark = s.sparkSession
     import spark.implicits._
+    val dR = bcR.value.dR
     require(model.d == dS + dR, s"model d=${model.d} != $dS + $dR")
     val k = model.k
     val d = model.d
@@ -108,119 +153,80 @@ object FGmm {
     val iSR = cache.inv.map(_.block(0, dS, dS, d))
     val iRR = cache.inv.map(_.block(dS, d, dS, d))
 
-    // (1) per-R-tuple reusable blocks, once per iteration (independent per
-    // tuple — computed on all driver cores).
-    val preEntries = rRows.par.map { case (rid, xr) =>
-      val w = new Array[Array[Double]](k)
-      val c = new Array[Double](k)
-      var i = 0
-      while (i < k) {
-        val pdr = Vec.sub(xr, muR(i))
-        w(i) = iSR(i).mv(pdr)
-        c(i) = iRR(i).quadForm(pdr)
-        i += 1
-      }
-      (rid, RSidePre(w, c))
-    }.toArray
-    val pre = new java.util.HashMap[Long, RSidePre](rRows.length * 2)
-    preEntries.foreach { case (rid, p) => pre.put(rid, p) }
-    val bc = spark.sparkContext.broadcast(pre)
+    // (1) per-R-tuple reusable blocks, once per iteration.
+    val bcPre = spark.sparkContext.broadcast(rBlocks(bcR.value, muR, iSR, iRR))
 
-    // (2) the factorized aggregation pass over S only.
-    implicit val accEnc = Encoders.kryo[FGmmAccum]
+    // (2) the factorized aggregation pass over S only, finished per partition.
+    implicit val accEnc = Encoders.kryo[GmmAccum]
     val acc =
       try {
-        s.select("fk", "xs").as[(Long, Array[Double])]
+        s.select("fk", "xs").as[FkRow]
           .mapPartitions { it =>
-            val a = new FGmmAccum(k, dS)
+            val rd = bcR.value
+            val (w, c) = bcPre.value
+            val a = new FGmmAccum(k, dS, rd.n)
             val gamma = new Array[Double](k)
             val quad = new Array[Double](k)
-            val lookup = bc.value
-            it.foreach { case (fk, xs) =>
-              val p = lookup.get(fk)
-              var i = 0
-              while (i < k) {
-                val pds = Vec.sub(xs, muS(i))
-                // Eq. (7) = UL + 2·(cross) + LR with the R-only parts reused
-                quad(i) = iSS(i).quadForm(pds) + 2.0 * Vec.dot(pds, p.w(i)) + p.c(i)
-                i += 1
+            it.foreach { row =>
+              val r = rd.index.indexOf(row.fk)
+              if (r >= 0) {
+                val xs = row.xs
+                var i = 0
+                while (i < k) {
+                  val pds = Vec.sub(xs, muS(i))
+                  // Eq. (7) = UL + 2·(cross) + LR with the R-only parts reused
+                  val wo = (r * k + i) * dS
+                  var cross = 0.0
+                  var j = 0
+                  while (j < dS) { cross += pds(j) * w(wo + j); j += 1 }
+                  quad(i) = iSS(i).quadForm(pds) + 2.0 * cross + c(r * k + i)
+                  i += 1
+                }
+                val ll = GmmMath.responsibilities(cache, quad, gamma)
+                a.add(r, xs, gamma, ll)
               }
-              val ll = GmmMath.responsibilities(cache, quad, gamma)
-              a.add(fk, xs, gamma, ll)
             }
-            Iterator.single(a)
+            Iterator.single(a.finish(rd.xr, rd.dR))
           }
           .reduce(_.merge(_))
-      } finally bc.destroy()
+      } finally bcPre.destroy()
 
-    // (3) finish the R-side blocks: one kernel per R tuple.
-    val model2 = finishBinary(acc, rRows, k, dS, dR)
-    (model2, acc.loglik)
+    // (3) the M-step over the merged O(K·d²) sums.
+    (acc.toModel, acc.loglik)
   }
 
-  private def finishBinary(acc: FGmmAccum, rRows: Array[(Long, Array[Double])],
-                           k: Int, dS: Int, dR: Int): GmmModel = {
-    val d = dS + dR
-    // One kernel per R tuple, parallelized over chunks with a cheap merge.
-    val chunkSize = math.max(64, rRows.length / 64)
-    val partials = rRows.grouped(chunkSize).toArray.par.map { chunk =>
-      val sxR = Array.fill(k)(new Array[Double](dR))
-      val ur  = Array.fill(k)(Mat.zeros(dS, dR))
-      val lr  = Array.fill(k)(Mat.zeros(dR, dR))
-      chunk.foreach { case (rid, xr) =>
-        val slot = acc.perFk.get(rid)
-        if (slot != null) {
-          var i = 0
-          while (i < k) {
-            val g = slot(i)
-            if (g != 0.0) {
-              Vec.axpy(g, xr, sxR(i))
-              lr(i).addOuter(g, xr, xr)
-            }
-            val sgx = Vec.slice(slot, k + i * dS, k + (i + 1) * dS)
-            ur(i).addOuter(1.0, sgx, xr)
-            i += 1
-          }
+  /** Per R tuple r and component i: `w = I_SR·PDR` at `((r·k + i)·dS)` and
+    * `c = PDRᵀ I_RR PDR` at `(r·k + i)`. Tuples are independent, so chunks
+    * of them are computed on all driver cores into disjoint ranges.
+    */
+  private def rBlocks(rd: DenseR, muR: Array[Array[Double]], iSR: Array[Mat],
+                      iRR: Array[Mat]): (Array[Double], Array[Double]) = {
+    val k = muR.length
+    val dS = iSR.head.rows
+    val dR = rd.dR
+    val nR = rd.n
+    val w = new Array[Double](nR * k * dS)
+    val c = new Array[Double](nR * k)
+    val chunk = math.max(64, nR / 64)
+    (0 until nR by chunk).par.foreach { r0 =>
+      var r = r0
+      while (r < math.min(r0 + chunk, nR)) {
+        val xr = Vec.slice(rd.xr, r * dR, (r + 1) * dR)
+        var i = 0
+        while (i < k) {
+          val pdr = Vec.sub(xr, muR(i))
+          System.arraycopy(iSR(i).mv(pdr), 0, w, (r * k + i) * dS, dS)
+          c(r * k + i) = iRR(i).quadForm(pdr)
+          i += 1
         }
-      }
-      (sxR, ur, lr)
-    }.toArray
-    val sxR = Array.fill(k)(new Array[Double](dR))
-    val ur  = Array.fill(k)(Mat.zeros(dS, dR))
-    val lr  = Array.fill(k)(Mat.zeros(dR, dR))
-    partials.foreach { case (psxR, pur, plr) =>
-      var i = 0
-      while (i < k) {
-        Vec.addInPlace(sxR(i), psxR(i))
-        ur(i).addInPlace(pur(i))
-        lr(i).addInPlace(plr(i))
-        i += 1
+        r += 1
       }
     }
-    val weights = new Array[Double](k)
-    val means   = new Array[Array[Double]](k)
-    val covs    = new Array[Mat](k)
-    var i = 0
-    while (i < k) {
-      weights(i) = acc.nk(i) / acc.n
-      means(i) = Vec.concat(Vec.scale(1.0 / acc.nk(i), acc.sxS(i)),
-                            Vec.scale(1.0 / acc.nk(i), sxR(i)))
-      val sxx = Mat.zeros(d, d) // Eq. (14) block assembly: [UL UR; LL LR]
-      sxx.setBlock(0, 0, acc.sxxSS(i))
-      sxx.setBlock(0, dS, ur(i))
-      sxx.setBlock(dS, 0, ur(i).transpose)
-      sxx.setBlock(dS, dS, lr(i))
-      val c = sxx.scaled(1.0 / acc.nk(i))
-      c.addOuter(-1.0, means(i), means(i))
-      c.symmetrize()
-      covs(i) = c
-      i += 1
-    }
-    GmmModel(weights, means, covs)
+    (w, c)
   }
 
-  /** Collect R once (nR ≪ nS by the paper's setup) and run `iters`
-    * factorized EM iterations.
+  /** Collect R once (nR ≪ nS by the paper's setup), broadcast its dense
+    * form once, and run `iters` factorized EM iterations.
     */
   def train(s: DataFrame, r: DataFrame, init: GmmModel, iters: Int): GmmFit = {
     val spark = s.sparkSession
@@ -228,15 +234,17 @@ object FGmm {
     val rRows = r.select("rid", "xr").as[(Long, Array[Double])].collect()
     val dR = rRows.head._2.length
     val dS = init.d - dR
-    var model = init
-    val lls = Seq.newBuilder[Double]
-    var i = 0
-    while (i < iters) {
-      val (next, ll) = emStep(s, rRows, model, dS, dR)
-      model = next
-      lls += ll
-      i += 1
+    DenseR.withBroadcast(spark, rRows, dR) { bcR =>
+      var model = init
+      val lls = Seq.newBuilder[Double]
+      var i = 0
+      while (i < iters) {
+        val (next, ll) = step(s, bcR, model, dS)
+        model = next
+        lls += ll
+        i += 1
+      }
+      GmmFit(model, lls.result())
     }
-    GmmFit(model, lls.result())
   }
 }

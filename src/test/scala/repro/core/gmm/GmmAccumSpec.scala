@@ -42,43 +42,41 @@ class GmmAccumSpec extends AnyFunSuite {
     }
   }
 
+  /** R features of keys 1..5 (dense index fk − 1), flat row-major. */
+  private def randomR(): Array[Double] = Array.fill(5 * dR)(rnd.nextGaussian())
+
+  private def finished(pts: Seq[(Long, Array[Double], Array[Double], Array[Double], Double)],
+                       xr: Array[Double]): GmmAccum = {
+    val a = new FGmmAccum(k, dS, nR = 5)
+    pts.foreach { case (fk, xs, _, g, ll) => a.add((fk - 1).toInt, xs, g, ll) }
+    a.finish(xr, dR)
+  }
+
   test("FGmmAccum merge combines per-FK slots correctly") {
+    // Both halves hit the same FKs: partitions finished separately and then
+    // merged must equal one partition holding every row.
     val pts = Array.fill(40)(randomPoint())
-    def accumulate(idx: Seq[Int]): FGmmAccum = {
-      val a = new FGmmAccum(k, dS)
-      idx.foreach { i =>
-        val (fk, xs, _, g, ll) = pts(i)
-        a.add(fk, xs, g, ll)
-      }
-      a
-    }
-    val whole = accumulate(pts.indices)
-    val merged = accumulate(0 until 15).merge(accumulate(15 until 40))
-    assert(whole.perFk.size() == merged.perFk.size())
-    whole.perFk.forEach { (fk, slot) =>
-      assert(Vec.maxAbsDiff(slot, merged.perFk.get(fk)) < 1e-9)
+    val xr = randomR()
+    val whole = finished(pts.toSeq, xr)
+    val merged = finished(pts.take(15).toSeq, xr).merge(finished(pts.drop(15).toSeq, xr))
+    assert(whole.n == merged.n)
+    assert(math.abs(whole.loglik - merged.loglik) < 1e-9)
+    (0 until k).foreach { i =>
+      assert(math.abs(whole.nk(i) - merged.nk(i)) < 1e-9)
+      assert(Vec.maxAbsDiff(whole.sx(i), merged.sx(i)) < 1e-9)
+      assert(whole.sxx(i).maxAbsDiff(merged.sxx(i)) < 1e-9)
     }
   }
 
   test("denormalized and factorized accumulators agree on the final model") {
     val pts = Array.fill(100)(randomPoint())
-    val xrOf = (1L to 5L).map(fkv => fkv -> Array.fill(dR)(rnd.nextGaussian())).toMap
+    val xr = randomR()
+    def xrOf(fk: Long): Array[Double] = Vec.slice(xr, (fk - 1).toInt * dR, fk.toInt * dR)
 
     val denorm = new GmmAccum(k, d)
-    val fact = new FGmmAccum(k, dS)
-    pts.foreach { case (fk, xs, _, g, ll) =>
-      denorm.add(Vec.concat(xs, xrOf(fk)), g, ll)
-      fact.add(fk, xs, g, ll)
-    }
+    pts.foreach { case (fk, xs, _, g, ll) => denorm.add(Vec.concat(xs, xrOf(fk)), g, ll) }
     val mD = denorm.toModel
-
-    // finish the factorized side the way FGmm.finishBinary does
-    val rRows = xrOf.toArray.map { case (rid, xr) => (rid, xr) }
-    val finish = classOf[FGmm.type].getDeclaredMethods
-      .find(_.getName == "finishBinary").get
-    finish.setAccessible(true)
-    val mF = finish.invoke(FGmm, fact, rRows, Int.box(k), Int.box(dS), Int.box(dR))
-      .asInstanceOf[GmmModel]
+    val mF = finished(pts.toSeq, xr).toModel
     assert(mD.maxAbsDiff(mF) < 1e-9)
   }
 

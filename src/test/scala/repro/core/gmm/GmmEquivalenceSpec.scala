@@ -1,6 +1,6 @@
 package repro.core.gmm
 
-import repro.SparkSpec
+import repro.{SparkSpec, TaskResultBytes}
 import repro.data.{NormalizedSynth, Store}
 
 /** The paper's central claim (§V-B end): M-GMM, S-GMM and F-GMM produce the
@@ -63,6 +63,64 @@ class GmmEquivalenceSpec extends SparkSpec {
     fit.model.covs.foreach { c =>
       assert(c.maxAbsDiff(c.transpose) < 1e-12)
     }
+  }
+
+  test("dangling FKs: M, S and F all drop the row (inner-join semantics)") {
+    import org.apache.spark.sql.functions.{col, when}
+    import spark.implicits._
+    val store = Store.temp(spark)
+    try {
+      // a few S rows point past R's keys 1..30, a few below them
+      val s = store.write("s", sDf.withColumn("fk",
+        when(col("sid") % 40 === 0, col("fk") + 1000L)
+          .when(col("sid") % 40 === 1, -col("fk")).otherwise(col("fk"))))
+      val r = store.write("r", rDf)
+      val t = DenormGmm.joined(s, r)
+      assert(t.count() < s.count(), "expected dangling S rows")
+      val rRows = r.select("rid", "xr").as[(Long, Array[Double])].collect()
+      val init = GmmModel.init(k = 3, d = 7, seed = 13)
+      var mS = init
+      var mF = init
+      (1 to 2).foreach { it =>
+        val (nextS, llS) = DenormGmm.emStep(t, mS)
+        val (nextF, llF) = FGmm.emStep(s, rRows, mF, dS = 3, dR = 4)
+        assert(math.abs(llS - llF) / math.abs(llS) < Tol, s"iter $it loglik: $llS vs $llF")
+        assert(nextS.maxAbsDiff(nextF) < Tol, s"iter $it params diverged")
+        mS = nextS; mF = nextF
+      }
+      val fitM = MGmm.train(store, s, r, init, iters = 2)
+      val fitF = FGmm.train(s, r, init, iters = 2)
+      assert(fitM.model.maxAbsDiff(fitF.model) < Tol)
+      assert(fitM.logliks.zip(fitF.logliks).forall { case (a, b) =>
+        math.abs(a - b) / math.abs(a) < Tol })
+    } finally store.close()
+  }
+
+  test("F-GMM is exact for any partitioning of S") {
+    import spark.implicits._
+    val rRows = rDf.select("rid", "xr").as[(Long, Array[Double])].collect()
+    val init = GmmModel.init(k = 3, d = 7, seed = 14)
+    val (mD, llD) = DenormGmm.emStep(DenormGmm.joined(sDf, rDf), init)
+    val (m1, ll1) = FGmm.emStep(sDf.repartition(1), rRows, init, dS = 3, dR = 4)
+    val (m8, ll8) = FGmm.emStep(sDf.repartition(8), rRows, init, dS = 3, dR = 4)
+    assert(m1.maxAbsDiff(m8) < Tol)
+    assert(m1.maxAbsDiff(mD) < Tol)
+    assert(m8.maxAbsDiff(mD) < Tol)
+    Seq(ll1, ll8).foreach(ll => assert(math.abs(ll - llD) / math.abs(llD) < Tol))
+  }
+
+  test("F-GMM's task results to the driver do not grow with nR") {
+    import spark.implicits._
+    def resultBytes(nR: Long): Long = {
+      val (s, r) = NormalizedSynth.binary(spark, nS = 4000, nR = nR, dS = 3, dR = 4, seed = 79, k = 3)
+      val rRows = r.select("rid", "xr").as[(Long, Array[Double])].collect()
+      val init = GmmModel.init(k = 3, d = 7, seed = 15)
+      TaskResultBytes.of(spark.sparkContext)(
+        FGmm.emStep(s.repartition(4), rRows, init, dS = 3, dR = 4))._2
+    }
+    val small = resultBytes(50)
+    val large = resultBytes(5000)
+    assert(large < 2 * small, s"result bytes: nR=50 -> $small, nR=5000 -> $large")
   }
 
   test("multi-way: S-GMM and F-GMM produce identical models per iteration (q=2)") {

@@ -1,6 +1,6 @@
 package repro.core.nn
 
-import repro.SparkSpec
+import repro.{SparkSpec, TaskResultBytes}
 import repro.data.{NormalizedSynth, Store}
 
 /** The NN counterpart of the paper's exactness claim: M-NN, S-NN and F-NN
@@ -75,6 +75,64 @@ class NnEquivalenceSpec extends SparkSpec {
     val (nextF, lF) = FNn.epoch(s, rRows, init, lr = 0.05, dS = 12)
     assert(math.abs(lS - lF) < 1e-10)
     assert(nextS.maxAbsDiff(nextF) < Tol)
+  }
+
+  test("dangling FKs: M, S and F all drop the row (inner-join semantics)") {
+    import org.apache.spark.sql.functions.{col, when}
+    import spark.implicits._
+    val store = Store.temp(spark)
+    try {
+      // a few S rows point past R's keys 1..25, a few below them
+      val s = store.write("s", sDf.withColumn("fk",
+        when(col("sid") % 40 === 0, col("fk") + 1000L)
+          .when(col("sid") % 40 === 1, -col("fk")).otherwise(col("fk"))))
+      val r = store.write("r", rDf)
+      val t = DenormNn.joined(s, r)
+      assert(t.count() < s.count(), "expected dangling S rows")
+      val rRows = r.select("rid", "xr").as[(Long, Array[Double])].collect()
+      val init = NnModel.init(nh = 6, d = 7, seed = 71)
+      var mS = init
+      var mF = init
+      (1 to 2).foreach { ep =>
+        val (nextS, lS) = DenormNn.epoch(t, mS, lr = 0.05)
+        val (nextF, lF) = FNn.epoch(s, rRows, mF, lr = 0.05, dS = 3)
+        assert(math.abs(lS - lF) < Tol, s"epoch $ep loss: $lS vs $lF")
+        assert(nextS.maxAbsDiff(nextF) < Tol, s"epoch $ep params diverged")
+        mS = nextS; mF = nextF
+      }
+      val fitM = MNn.train(store, s, r, init, epochs = 2, lr = 0.05)
+      val fitF = FNn.train(s, r, init, epochs = 2, lr = 0.05)
+      assert(fitM.model.maxAbsDiff(fitF.model) < Tol)
+      assert(fitM.losses.zip(fitF.losses).forall { case (a, b) => math.abs(a - b) < Tol })
+    } finally store.close()
+  }
+
+  test("F-NN is exact for any partitioning of S") {
+    import spark.implicits._
+    val rRows = rDf.select("rid", "xr").as[(Long, Array[Double])].collect()
+    val init = NnModel.init(nh = 6, d = 7, seed = 73)
+    val (mD, lD) = DenormNn.epoch(DenormNn.joined(sDf, rDf), init, lr = 0.05)
+    val (m1, l1) = FNn.epoch(sDf.repartition(1), rRows, init, lr = 0.05, dS = 3)
+    val (m8, l8) = FNn.epoch(sDf.repartition(8), rRows, init, lr = 0.05, dS = 3)
+    assert(m1.maxAbsDiff(m8) < Tol)
+    assert(m1.maxAbsDiff(mD) < Tol)
+    assert(m8.maxAbsDiff(mD) < Tol)
+    Seq(l1, l8).foreach(l => assert(math.abs(l - lD) < Tol))
+  }
+
+  test("F-NN's task results to the driver do not grow with nR") {
+    import spark.implicits._
+    def resultBytes(nR: Long): Long = {
+      val (s, r) = NormalizedSynth.binary(spark, nS = 4000, nR = nR, dS = 3, dR = 4, seed = 83,
+        withTarget = true)
+      val rRows = r.select("rid", "xr").as[(Long, Array[Double])].collect()
+      val init = NnModel.init(nh = 6, d = 7, seed = 79)
+      TaskResultBytes.of(spark.sparkContext)(
+        FNn.epoch(s.repartition(4), rRows, init, lr = 0.05, dS = 3))._2
+    }
+    val small = resultBytes(50)
+    val large = resultBytes(5000)
+    assert(large < 2 * small, s"result bytes: nR=50 -> $small, nR=5000 -> $large")
   }
 
   test("multi-way: S-NN and F-NN update identically per epoch (q=2)") {
